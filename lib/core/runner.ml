@@ -77,8 +77,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
   }
 
   (* A data packet in flight. Allocated once at launch and threaded through
-     every hop unchanged — forwarding re-sends this very value, so a hop
-     allocates nothing beyond the link's own bookkeeping. *)
+     every hop unchanged: forwarding re-sends this very value, the link
+     parks it in a preallocated ring slot, and [Packet.visit] records the
+     hop in place, so crossing a link allocates nothing. *)
   type data = { d_pkt : Netsim.Packet.t; d_handler : packet_handler }
 
   type payload =

@@ -45,7 +45,12 @@ let ensure_capacity t =
    is compared against [n] before use, an ancestor index only shrinks), and
    the arrays' capacity is at least [t.size]. *)
 
-let add t ~time ~seq v =
+type slot = { mutable slot_time : float }
+
+let slot () = { slot_time = 0.0 }
+
+let add t key ~seq v =
+  let time = key.slot_time in
   ensure_capacity t;
   let times = t.times and seqs = t.seqs and vals = t.vals in
   let i = ref t.size in
@@ -65,10 +70,6 @@ let add t ~time ~seq v =
   Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set vals !i v
-
-type slot = { mutable slot_time : float }
-
-let slot () = { slot_time = 0.0 }
 
 let peek_time (t : t) (out : slot) : bool =
   if t.size = 0 then false

@@ -17,16 +17,17 @@ val length : t -> int
 
 val is_empty : t -> bool
 
-val add : t -> time:float -> seq:int -> int -> unit
-(** [add t ~time ~seq v] inserts [v] keyed by [(time, seq)]. Amortised O(1)
-    allocation-free (arrays double in place). [seq] must be unique across
-    live entries for deterministic ordering. *)
-
 type slot = { mutable slot_time : float }
-(** Reusable out-parameter: an all-float record, so writing the popped time
-    into it is an unboxed store instead of an allocation. *)
+(** A time passed in or out through an all-float record: writing it is an
+    unboxed store, and unlike a [float] argument or result it is not boxed
+    at the call, so it costs no allocation. *)
 
 val slot : unit -> slot
+
+val add : t -> slot -> seq:int -> int -> unit
+(** [add t key ~seq v] inserts [v] keyed by [(key.slot_time, seq)].
+    Amortised O(1) and allocation-free (arrays double in place). [seq] must
+    be unique across live entries for deterministic ordering. *)
 
 val peek_time : t -> slot -> bool
 (** [peek_time t out] writes the minimum entry's time into [out] and returns

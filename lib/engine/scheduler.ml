@@ -1,15 +1,9 @@
 type handle = { mutable cancelled : bool }
 
 (* The shared handle carried by events that can never be cancelled
-   (fire_at / fire_after / schedule_tag). Internal only: no caller can reach
-   it, so no caller can cancel it. *)
+   (fire_at / fire_after). Internal only: no caller can reach it, so no
+   caller can cancel it. *)
 let live = { cancelled = false }
-
-(* Exported placeholder for callers that need "a handle" before they have
-   scheduled anything (e.g. a record field initialized before its first real
-   event). Attached to no event; cancelling it does nothing. Distinct from
-   [live] so a stray [cancel inert_handle] cannot kill shared events. *)
-let inert_handle = { cancelled = false }
 
 type 'a tag = int
 
@@ -69,7 +63,7 @@ type lane = {
 }
 
 (* Lanes are created on demand, for delays seen often enough to matter:
-   a delay >= [lane_min_delay] earns a candidate slot, and its
+   any delay, 0 included, earns a candidate slot, and its
    [lane_promote_count]-th occurrence promotes it to a lane (bounded by
    [max_lanes]; excess recurring delays just stay on the heap, which is
    merely slower, never wrong). Candidate slots evict the lowest count, so
@@ -89,9 +83,16 @@ let new_lane d =
     l_tail = 0;
   }
 
+(* Flat float records: writing the field stores the float in place instead
+   of allocating a box, and a caller in another module reads it without one
+   (see the mli). *)
+type clock = { mutable now : float }
+
+type stamp = { mutable at : float }
+
 type t = {
   queue : Int_heap.t;
-  mutable clock : float;
+  clock : clock;
   mutable next_seq : int;
   mutable fired : int;
   mutable skipped : int;
@@ -109,6 +110,7 @@ type t = {
   (* Out-parameters for [Int_heap.pop_into]: reused every pop so the hot
      loop never allocates a [Some (time, seq, idx)] triple. *)
   pop_time : Int_heap.slot;
+  push_time : Int_heap.slot;  (* in-parameter of [Int_heap.add], likewise *)
   pop_seq : int ref;
 }
 
@@ -129,7 +131,7 @@ let with_default_recorder r fn =
 let create () =
   {
     queue = Int_heap.create ();
-    clock = 0.0;
+    clock = { now = 0.0 };
     next_seq = 0;
     fired = 0;
     skipped = 0;
@@ -145,10 +147,13 @@ let create () =
     n_handlers = 0;
     recorder = !(Domain.DLS.get default_recorder);
     pop_time = Int_heap.slot ();
+    push_time = Int_heap.slot ();
     pop_seq = ref 0;
   }
 
-let now t = t.clock
+let now t = t.clock.now
+
+let clock t = t.clock
 
 let set_recorder t r = t.recorder <- r
 
@@ -211,12 +216,13 @@ let note_pushed t at seq =
   if depth > t.max_depth then t.max_depth <- depth
 
 let push t ~at h tag obj =
-  if at < t.clock then
+  if at < t.clock.now then
     invalid_arg
-      (Printf.sprintf "Scheduler.schedule: at=%g is before now=%g" at t.clock);
+      (Printf.sprintf "Scheduler.schedule: at=%g is before now=%g" at t.clock.now);
   let idx = fill_cell t h tag obj in
   let seq = t.next_seq in
-  Int_heap.add t.queue ~time:at ~seq idx;
+  t.push_time.Int_heap.slot_time <- at;
+  Int_heap.add t.queue t.push_time ~seq idx;
   t.next_seq <- seq + 1;
   note_pushed t at seq
 
@@ -298,7 +304,7 @@ let note_candidate t d =
    for unconditional correctness of the merge invariant. *)
 let push_delayed t ~delay h tag obj =
   if delay < 0.0 then invalid_arg "Scheduler.after: negative delay";
-  let at = t.clock +. delay in
+  let at = t.clock.now +. delay in
   let lanes = t.lanes in
   let n = Array.length lanes in
   let li = ref (-1) in
@@ -332,28 +338,18 @@ let fire_at t ~at fn = push t ~at live (-1) (Obj.repr fn)
 
 let fire_after t ~delay fn = push_delayed t ~delay live (-1) (Obj.repr fn)
 
-let schedule_tag t ~at tag x = push t ~at live tag (Obj.repr x)
-
-let after_tag t ~delay tag x = push_delayed t ~delay live tag (Obj.repr x)
-
-let schedule_tag_h t ~at tag x =
-  let h = { cancelled = false } in
-  push t ~at h tag (Obj.repr x);
-  h
-
 let after_tag_h t ~delay tag x =
   let h = { cancelled = false } in
   push_delayed t ~delay h tag (Obj.repr x);
   h
 
-let schedule_tag_using t ~at ~handle tag x = push t ~at handle tag (Obj.repr x)
+let schedule_tag_using t ~at ~handle tag x =
+  push t ~at:at.at handle tag (Obj.repr x)
 
 let after_tag_using t ~delay ~handle tag x =
   push_delayed t ~delay handle tag (Obj.repr x)
 
 let fresh_handle () = { cancelled = false }
-
-let renew h = h.cancelled <- false
 
 let cancel h = h.cancelled <- true
 
@@ -398,13 +394,13 @@ let exec t s =
   let idx =
     if s = 0 then begin
       let idx = Int_heap.pop_into t.queue t.pop_time ~seq:t.pop_seq in
-      t.clock <- t.pop_time.Int_heap.slot_time;
+      t.clock.now <- t.pop_time.Int_heap.slot_time;
       idx
     end
     else begin
       let l = Array.unsafe_get t.lanes (s - 1) in
       let h = l.l_head in
-      t.clock <- Array.unsafe_get l.l_times h;
+      t.clock.now <- Array.unsafe_get l.l_times h;
       t.pop_seq := Array.unsafe_get l.l_seqs h;
       let idx = Array.unsafe_get l.l_vals h in
       let h' = h + 1 in
@@ -425,7 +421,7 @@ let exec t s =
   let fires = not h.cancelled in
   (match t.recorder with
   | None -> ()
-  | Some r -> r.on_pop t.clock !(t.pop_seq) fires);
+  | Some r -> r.on_pop t.clock.now !(t.pop_seq) fires);
   if fires then begin
     t.fired <- t.fired + 1;
     if tag < 0 then (Obj.obj obj : unit -> unit) () else t.handlers.(tag) obj
@@ -508,7 +504,7 @@ let run ?until t =
         exec t s;
         loop ()
       end
-      else if t.clock < horizon then t.clock <- horizon
+      else if t.clock.now < horizon then t.clock.now <- horizon
     in
     loop ()
 

@@ -16,6 +16,22 @@ val create : unit -> t
 val now : t -> float
 (** [now t] is the current simulation time in seconds. *)
 
+(** {2 Unboxed times}
+
+    Under dune's default profile no function is inlined across modules, so
+    a [float] passed to or returned by a function of this module is boxed:
+    every call allocates. The hottest caller, a link serialising packets,
+    instead reads the clock and hands over event times through flat float
+    records, which cost nothing. *)
+
+type clock = private { mutable now : float }
+
+val clock : t -> clock
+(** [clock t] is [t]'s clock itself: [(clock t).now] is always [now t]. *)
+
+type stamp = { mutable at : float }
+(** A caller-owned event time (see {!schedule_tag_using}). *)
+
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] arranges for [f ()] to run at absolute time [at].
 
@@ -57,50 +73,33 @@ val register : t -> ('a -> unit) -> 'a tag
     Registration is cheap but not recycled: register per long-lived object
     (a link, a router), not per event. *)
 
-val schedule_tag : t -> at:float -> 'a tag -> 'a -> unit
-(** [schedule_tag t ~at tag x] arranges for [tag]'s handler to receive [x] at
-    time [at]. Not cancellable (like {!fire_at}).
-
-    @raise Invalid_argument if [at] is earlier than [now t]. *)
-
-val after_tag : t -> delay:float -> 'a tag -> 'a -> unit
-(** [after_tag t ~delay tag x] is [schedule_tag t ~at:(now t +. delay)].
+val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
+(** [after_tag_h t ~delay tag x] arranges for [tag]'s handler to receive [x]
+    at time [now t +. delay], returning a new cancellation handle (protocol
+    timers).
 
     @raise Invalid_argument if [delay] is negative. *)
 
-val schedule_tag_h : t -> at:float -> 'a tag -> 'a -> handle
-(** [schedule_tag_h] is {!schedule_tag} returning a cancellation handle, for
-    tagged events that may be cancelled (in-flight payloads on a failing
-    link, protocol route timeouts). *)
+val schedule_tag_using : t -> at:stamp -> handle:handle -> 'a tag -> 'a -> unit
+(** [schedule_tag_using t ~at ~handle tag x] arranges for [tag]'s handler to
+    receive [x] at absolute time [at.at], read at the call (later writes to
+    [at] do not move the event), with cancellation through a
+    caller-owned [handle] instead of a new one, for objects that live through
+    a sequence of events (a link slot reuses one handle for its payload's
+    transmission and then its propagation). The caller must ensure no other
+    queued event still references [handle], cancelled or not: the two events
+    would share one cancelled flag, so cancelling either would cancel both,
+    and a handle that is already cancelled keeps the new event from ever
+    firing. Replace such a handle with a {!fresh_handle}.
 
-val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
-(** [after_tag_h] is {!after_tag} returning a cancellation handle. *)
-
-val schedule_tag_using : t -> at:float -> handle:handle -> 'a tag -> 'a -> unit
-(** [schedule_tag_using t ~at ~handle tag x] is {!schedule_tag_h} reusing a
-    caller-owned [handle] record instead of allocating one, for objects that
-    live through a sequence of events (a packet crossing a link reuses one
-    handle for its transmission and its propagation). The caller must ensure
-    no other queued event still references [handle] — recycling a handle that
-    a cancelled, still-queued event points at would resurrect that event. *)
+    @raise Invalid_argument if [at.at] is earlier than [now t]. *)
 
 val after_tag_using : t -> delay:float -> handle:handle -> 'a tag -> 'a -> unit
 (** [after_tag_using] is {!schedule_tag_using} with a relative delay. *)
 
-val inert_handle : handle
-(** A handle attached to no event, for initializing mutable handle fields
-    before the first real event exists. {!cancel} on it is a harmless no-op
-    and {!is_cancelled} reports whatever was last done to it — it guards
-    nothing. *)
-
 val fresh_handle : unit -> handle
 (** A new handle attached to no event yet, for callers that own and reuse
     handle records across events (see {!schedule_tag_using}). *)
-
-val renew : handle -> unit
-(** [renew h] clears [h]'s cancelled flag so a caller-owned handle can be
-    reused for a new event. Subject to the same safety condition as
-    {!schedule_tag_using}: no queued event may still reference [h]. *)
 
 val cancel : handle -> unit
 (** [cancel h] prevents the event behind [h] from firing. Cancelling an event

@@ -36,7 +36,9 @@ val send : 'a t -> ?reliable:bool -> size_bits:int -> 'a -> send_result
 
 val fail : 'a t -> unit
 (** [fail t] takes the link down immediately: queued and in-flight payloads
-    are dropped with [Link_down] and future sends are rejected. Idempotent. *)
+    are dropped with [Link_down], oldest first (the order they were sent),
+    and future sends are rejected. None of them is delivered later.
+    Idempotent. *)
 
 val restore : 'a t -> unit
 (** [restore t] brings a failed link back up with an empty queue. *)

@@ -5,11 +5,13 @@ type t = {
   size_bits : int;
   sent_at : float;
   mutable ttl : int;
-  mutable visits : Types.node_id list;
+  mutable hops : int;
+  mutable far : Types.node_id list;
   mutable revisited : bool;
   (* Inline bitset over node ids 0..125 (two 63-bit words): the loop check
-     below is one bit test instead of a walk of [visits]. Ids >= 126 fall
-     back to the list scan, so the check stays exact for any topology. *)
+     below is one bit test, and a hop below id 126 allocates nothing. Ids
+     >= 126 fall back to the [far] list, so the check stays exact for any
+     topology. *)
   mutable vmask0 : int;
   mutable vmask1 : int;
 }
@@ -22,7 +24,8 @@ let create ~id ~src ~dst ~size_bits ~ttl ~sent_at =
     size_bits;
     sent_at;
     ttl;
-    visits = [];
+    hops = 0;
+    far = [];
     revisited = false;
     vmask0 = 0;
     vmask1 = 0;
@@ -31,6 +34,7 @@ let create ~id ~src ~dst ~size_bits ~ttl ~sent_at =
 (* The loop check rides along with the visit — one bit test per hop instead
    of a quadratic rescan of the whole journey at delivery time. *)
 let visit p n =
+  p.hops <- p.hops + 1;
   if n < 63 then begin
     let b = 1 lsl n in
     if p.vmask0 land b <> 0 then p.revisited <- true
@@ -41,22 +45,20 @@ let visit p n =
     if p.vmask1 land b <> 0 then p.revisited <- true
     else p.vmask1 <- p.vmask1 lor b
   end
-  else if (not p.revisited) && List.mem n p.visits then p.revisited <- true;
-  p.visits <- n :: p.visits
+  else if List.mem n p.far then p.revisited <- true
+  else p.far <- n :: p.far
 
 (* Non-mutating membership test over the same bitset/list hybrid as [visit];
    fast reroute uses it to refuse a backup hop that would close a loop. *)
 let visited p n =
   if n < 63 then p.vmask0 land (1 lsl n) <> 0
   else if n < 126 then p.vmask1 land (1 lsl (n - 63)) <> 0
-  else List.mem n p.visits
+  else List.mem n p.far
 
-let hop_count p = max 0 (List.length p.visits - 1)
-
-let path p = List.rev p.visits
+let hop_count p = max 0 (p.hops - 1)
 
 let looped p = p.revisited
 
 let pp ppf p =
-  Fmt.pf ppf "packet#%d %d->%d ttl=%d path=%a" p.id p.src p.dst p.ttl
-    Types.pp_path (path p)
+  Fmt.pf ppf "packet#%d %d->%d ttl=%d hops=%d" p.id p.src p.dst p.ttl
+    (hop_count p)

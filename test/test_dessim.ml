@@ -129,6 +129,28 @@ let test_sched_cancel () =
   Alcotest.(check bool) "not fired" false !fired;
   Alcotest.(check int) "not counted" 0 (Dessim.Scheduler.events_processed s)
 
+(* A caller-owned handle carried across two sequential tagged events, the
+   way a link slot carries one through a payload's transmission and then its
+   propagation. Cancelling it stops only the event that is live now: the
+   first one already fired, and an untagged neighbour at the same instant
+   is untouched. *)
+let test_sched_tag_using_reuses_handle () =
+  let s = Dessim.Scheduler.create () in
+  let log = ref [] in
+  let tag = Dessim.Scheduler.register s (fun x -> log := x :: !log) in
+  let h = Dessim.Scheduler.fresh_handle () in
+  Dessim.Scheduler.schedule_tag_using s ~at:{ Dessim.Scheduler.at = 1. } ~handle:h tag "first";
+  Dessim.Scheduler.run s;
+  Dessim.Scheduler.after_tag_using s ~delay:1. ~handle:h tag "second";
+  Dessim.Scheduler.schedule_tag_using s ~at:{ Dessim.Scheduler.at = 2. }
+    ~handle:(Dessim.Scheduler.fresh_handle ()) tag "other";
+  Dessim.Scheduler.cancel h;
+  Dessim.Scheduler.run s;
+  Alcotest.(check (list string)) "fired" [ "first"; "other" ] (List.rev !log);
+  Alcotest.(check int) "processed" 2 (Dessim.Scheduler.events_processed s);
+  Alcotest.(check int) "skipped" 1 (Dessim.Scheduler.events_skipped s);
+  check_float "clock" 2. (Dessim.Scheduler.now s)
+
 let test_sched_nested_scheduling () =
   let s = Dessim.Scheduler.create () in
   let log = ref [] in
@@ -392,6 +414,8 @@ let () =
           Alcotest.test_case "negative delay rejected" `Quick
             test_sched_negative_delay_rejected;
           Alcotest.test_case "cancel" `Quick test_sched_cancel;
+          Alcotest.test_case "tag using reuses handle" `Quick
+            test_sched_tag_using_reuses_handle;
           Alcotest.test_case "nested" `Quick test_sched_nested_scheduling;
           Alcotest.test_case "until horizon" `Quick test_sched_until_horizon;
           Alcotest.test_case "until exact" `Quick test_sched_until_exact_event_time;

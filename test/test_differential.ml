@@ -85,6 +85,7 @@ let run_stream_int ops =
   let h = Dessim.Int_heap.create () in
   let r = Reference_heap.create () in
   let out = Dessim.Int_heap.slot () in
+  let key = Dessim.Int_heap.slot () in
   let pseq = ref (-1) in
   let seq = ref 0 in
   let ok = ref true in
@@ -111,7 +112,8 @@ let run_stream_int ops =
       match op with
       | Some k ->
         let time = float_of_int k /. 4. in
-        Dessim.Int_heap.add h ~time ~seq:!seq !seq;
+        key.Dessim.Int_heap.slot_time <- time;
+        Dessim.Int_heap.add h key ~seq:!seq !seq;
         Reference_heap.add r ~time ~seq:!seq !seq;
         incr seq
       | None -> pop_both ())

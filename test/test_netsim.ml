@@ -15,14 +15,28 @@ let test_packet_visits () =
   Netsim.Packet.visit p 3;
   Netsim.Packet.visit p 9;
   Alcotest.(check int) "two hops" 2 (Netsim.Packet.hop_count p);
-  Alcotest.(check (list int)) "path order" [ 0; 3; 9 ] (Netsim.Packet.path p)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "visited %d" n) true
+        (Netsim.Packet.visited p n))
+    [ 0; 3; 9 ];
+  Alcotest.(check bool) "not visited 5" false (Netsim.Packet.visited p 5)
 
 let test_packet_loop_detection () =
   let p = mk_packet () in
   List.iter (Netsim.Packet.visit p) [ 0; 3; 5 ];
   Alcotest.(check bool) "no loop" false (Netsim.Packet.looped p);
   Netsim.Packet.visit p 3;
-  Alcotest.(check bool) "loop" true (Netsim.Packet.looped p)
+  Alcotest.(check bool) "loop" true (Netsim.Packet.looped p);
+  (* Ids from 126 up are tracked outside the bit set, just as exactly. *)
+  let p = mk_packet () in
+  List.iter (Netsim.Packet.visit p) [ 130; 200; 5 ];
+  Alcotest.(check bool) "no far loop" false (Netsim.Packet.looped p);
+  Alcotest.(check bool) "visited 200" true (Netsim.Packet.visited p 200);
+  Alcotest.(check bool) "not visited 131" false (Netsim.Packet.visited p 131);
+  Netsim.Packet.visit p 200;
+  Alcotest.(check bool) "far loop" true (Netsim.Packet.looped p);
+  Alcotest.(check int) "hops" 3 (Netsim.Packet.hop_count p)
 
 (* ---------- Link ---------- *)
 
@@ -143,6 +157,141 @@ let test_link_fail_idempotent () =
   Netsim.Link.fail l;
   Netsim.Link.fail l;
   Alcotest.(check int) "dropped once" 1 (List.length !log)
+
+(* Fail while two payloads propagate and two wait in the queue: all four
+   are dropped at the failure instant, oldest first, and the cancelled
+   events of the ring never deliver anything later. *)
+let test_link_fail_drops_fifo () =
+  let sched = Dessim.Scheduler.create () in
+  let log = ref [] in
+  let l = make_link ~capacity:10 sched log in
+  List.iter (fun x -> ignore (Netsim.Link.send l ~size_bits:8000 x)) [ "a"; "b"; "c"; "d" ];
+  (* Transmissions end at 8, 16, 24, 32 ms; "a" arrives at 18 ms. *)
+  ignore
+    (Dessim.Scheduler.schedule sched ~at:0.017 (fun () ->
+         Alcotest.(check int) "in flight at failure" 2 (Netsim.Link.in_flight l);
+         Alcotest.(check int) "queued at failure" 2 (Netsim.Link.queue_length l);
+         Netsim.Link.fail l));
+  Dessim.Scheduler.run sched;
+  match List.rev !log with
+  | [ Dropped ("a", Netsim.Types.Link_down, ta);
+      Dropped ("b", Netsim.Types.Link_down, tb);
+      Dropped ("c", Netsim.Types.Link_down, tc);
+      Dropped ("d", Netsim.Types.Link_down, td) ] ->
+    List.iter (check_float "drop time" 0.017) [ ta; tb; tc; td ]
+  | _ -> Alcotest.fail "expected a, b, c, d dropped in order and nothing delivered"
+
+(* The slots a failure emptied are reused after restore. Their cancelled
+   events are still queued; none of them may fire, and none may take a new
+   payload's event down with it. *)
+let test_link_restore_reuses_slots () =
+  let sched = Dessim.Scheduler.create () in
+  let log = ref [] in
+  let l = make_link ~capacity:10 sched log in
+  List.iter (fun x -> ignore (Netsim.Link.send l ~size_bits:8000 x)) [ "a"; "b"; "c" ];
+  ignore
+    (Dessim.Scheduler.schedule sched ~at:0.012 (fun () ->
+         Netsim.Link.fail l;
+         Netsim.Link.restore l;
+         List.iter (fun x -> ignore (Netsim.Link.send l ~size_bits:8000 x)) [ "x"; "y"; "z" ]));
+  Dessim.Scheduler.run sched;
+  let delivered =
+    List.filter_map (function Delivered (x, t) -> Some (x, t) | Dropped _ -> None) (List.rev !log)
+  in
+  let dropped = List.filter (function Dropped _ -> true | Delivered _ -> false) !log in
+  Alcotest.(check int) "old payloads dropped" 3 (List.length dropped);
+  Alcotest.(check (list string)) "new payloads delivered once, in order" [ "x"; "y"; "z" ]
+    (List.map fst delivered);
+  List.iter2 (check_float "arrival") [ 0.030; 0.038; 0.046 ] (List.map snd delivered);
+  Alcotest.(check int) "empty" 0 (Netsim.Link.queue_length l + Netsim.Link.in_flight l)
+
+(* Reliable sends ignore the queue capacity, so the ring must grow; here it
+   grows while its live slots wrap around the end of the array. *)
+let test_link_ring_grows_across_wrap () =
+  let sched = Dessim.Scheduler.create () in
+  let got = ref [] in
+  let l =
+    Netsim.Link.create ~sched ~bandwidth_bps:1e6 ~prop_delay:0.01 ~queue_capacity:2
+      ~deliver:(fun x -> got := (x, Dessim.Scheduler.now sched) :: !got)
+      ~dropped:(fun _ _ -> Alcotest.fail "nothing may drop")
+      ()
+  in
+  (* Move the ring's head off slot 0. *)
+  for k = 0 to 4 do
+    ignore (Netsim.Link.send l ~size_bits:8000 (-1 - k));
+    Dessim.Scheduler.run sched
+  done;
+  got := [];
+  let t0 = Dessim.Scheduler.now sched in
+  let n = 40 in
+  for k = 0 to n - 1 do
+    match Netsim.Link.send l ~reliable:true ~size_bits:8000 k with
+    | Netsim.Link.Sent -> ()
+    | Netsim.Link.Rejected _ -> Alcotest.fail "reliable send rejected"
+  done;
+  Alcotest.(check int) "queued" n (Netsim.Link.queue_length l);
+  check_float "busy until" (t0 +. (float_of_int n *. 0.008)) (Netsim.Link.utilization_busy_until l);
+  Dessim.Scheduler.run sched;
+  let got = List.rev !got in
+  Alcotest.(check (list int)) "FIFO" (List.init n Fun.id) (List.map fst got);
+  List.iteri
+    (fun k (_, t) -> check_float "arrival" (t0 +. (float_of_int (k + 1) *. 0.008) +. 0.01) t)
+    got;
+  (* A second link grows the same way and then fails: the handles that
+     moved with their slots are the ones the queued events hold, so the
+     failure cancels every one of them. *)
+  let t1 = Dessim.Scheduler.now sched in
+  let dropped = ref 0 and late = ref 0 in
+  let l =
+    Netsim.Link.create ~sched ~bandwidth_bps:1e6 ~prop_delay:0.01 ~queue_capacity:2
+      ~deliver:(fun _ -> if Dessim.Scheduler.now sched > t1 +. 0.046 then incr late)
+      ~dropped:(fun _ _ -> incr dropped)
+      ()
+  in
+  for k = 0 to n - 1 do
+    ignore (Netsim.Link.send l ~reliable:true ~size_bits:8000 k)
+  done;
+  ignore (Dessim.Scheduler.schedule sched ~at:(t1 +. 0.046) (fun () -> Netsim.Link.fail l));
+  Dessim.Scheduler.run sched;
+  (* Arrivals at 18, 26, 34 and 42 ms beat the failure; the rest drop. *)
+  Alcotest.(check int) "dropped at failure" (n - 4) !dropped;
+  Alcotest.(check int) "delivered after failure" 0 !late
+
+(* The hop is the simulator's hottest path: once the link and the scheduler
+   are warm, a send, its transmission and its delivery allocate nothing, and
+   neither does a packet's visit to a router with id below 126. *)
+let test_link_round_trip_allocates_nothing () =
+  let sched = Dessim.Scheduler.create () in
+  let delivered = ref 0 in
+  let l =
+    Netsim.Link.create ~sched ~bandwidth_bps:1e6 ~prop_delay:0.01 ~queue_capacity:4
+      ~deliver:(fun (_ : Netsim.Packet.t) -> incr delivered)
+      ~dropped:(fun _ _ -> Alcotest.fail "nothing may drop")
+      ()
+  in
+  let p = mk_packet () in
+  let round_trip k =
+    Netsim.Packet.visit p (k mod 126);
+    ignore (Netsim.Link.send l ~size_bits:8000 p);
+    while Dessim.Scheduler.step sched do
+      ()
+    done
+  in
+  for k = 0 to 999 do
+    round_trip k
+  done;
+  (* [Gc.minor_words] boxes its result: measure that fixed cost once. *)
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let fixed = b -. a in
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    round_trip k
+  done;
+  let after = Gc.minor_words () in
+  check_float "minor words" 0. (after -. before -. fixed);
+  Alcotest.(check int) "delivered" 11_000 !delivered;
+  Alcotest.(check int) "hops" 10_999 (Netsim.Packet.hop_count p)
 
 let test_link_rejects_bad_args () =
   let sched = Dessim.Scheduler.create () in
@@ -440,6 +589,11 @@ let () =
           Alcotest.test_case "restore" `Quick test_link_restore;
           Alcotest.test_case "fail idempotent" `Quick test_link_fail_idempotent;
           Alcotest.test_case "bad args" `Quick test_link_rejects_bad_args;
+          Alcotest.test_case "fail drops FIFO" `Quick test_link_fail_drops_fifo;
+          Alcotest.test_case "restore reuses slots" `Quick test_link_restore_reuses_slots;
+          Alcotest.test_case "ring grows across wrap" `Quick test_link_ring_grows_across_wrap;
+          Alcotest.test_case "round trip allocates nothing" `Quick
+            test_link_round_trip_allocates_nothing;
         ] );
       ( "topology",
         [
