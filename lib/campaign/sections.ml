@@ -799,7 +799,10 @@ let topo_axis ~family_idx ~nodes = (family_idx * 100_000) + nodes
    state, not the generators: the path-vector pair keeps full AS paths per
    (node, neighbor, destination) in its adj-RIB-in — measured at several GB
    for one 1024-node cell — so BGP and BGP-3 stop at 256 nodes and the
-   larger sizes run the O(n·deg) distance-vector pair. DBF used to stop at
+   larger sizes run the O(n·deg) distance-vector pair. The dense BGP state
+   (DESIGN.md §14) lowered one 256-node cell's peak RSS (VmHWM, quick
+   preset, seed 1) from 82.0 to 58.9 MB on ER and from 58.6 to 43.2 MB on
+   BA; the adj-RIB-in paths themselves, the wall, are unchanged. DBF used to stop at
    1024 as well: re-arming a 180 s cache timeout per (neighbor, destination)
    by cancel + reschedule left a tombstone population (entry rate × 180 s,
    × degree versus RIP's one timer per destination) that OOM-killed an ER

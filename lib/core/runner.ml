@@ -116,6 +116,11 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
   type state = {
     cfg : Config.t;
     sched : Dessim.Scheduler.t;
+    clock : Dessim.Scheduler.clock;
+        (* [sched]'s clock, read in place where the time is only compared
+           or boxed once: [Dessim.Scheduler.now] returns a boxed float to
+           callers in other modules, which pays off only where several
+           uses share that box *)
     topo : Netsim.Topology.t;
     n_nodes : int;
     link_off : int array;
@@ -215,7 +220,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
   let prof_run = Obs.Prof.scope "engine.run"
 
   let emit st ev =
-    Obs.Trace.emit st.trace ~time:(Dessim.Scheduler.now st.sched) ev
+    Obs.Trace.emit st.trace ~time:st.clock.now ev
 
   let next_hop_of st n ~dst = P.next_hop st.routers.(n) ~dst
 
@@ -334,7 +339,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     end
 
   let on_route_changed st router dst =
-    let now = Dessim.Scheduler.now st.sched in
+    let now = st.clock.now in
     if tracing st Obs.Event.Env then
       emit st (Obs.Event.Route_changed { node = router; dst });
     (match st.frr with
@@ -343,7 +348,10 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     (match st.first_failure_at with
     | Some t0 when now >= t0 -> st.last_route_change <- now
     | Some _ | None -> ());
-    Array.iter (fun f -> if f.dst = dst then record_path_sample st f) st.flows
+    for i = 0 to Array.length st.flows - 1 do
+      let f = st.flows.(i) in
+      if f.dst = dst then record_path_sample st f
+    done
 
   let drop_data (d : data) (reason : Netsim.Types.drop_reason) =
     d.d_handler.h_drop d.d_pkt reason
@@ -657,7 +665,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     in
     let actions =
       {
-        Protocols.Proto_intf.now = (fun () -> Dessim.Scheduler.now st.sched);
+        Protocols.Proto_intf.now = (fun () -> st.clock.now);
         send =
           (fun neighbor msg ->
             st.ctrl_messages <- st.ctrl_messages + 1;
@@ -682,11 +690,11 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         after = after_action;
         route_changed = (fun dst -> on_route_changed st id dst);
         note =
-          (fun n ->
-            if trace_control then
-              match n with
-              | Protocols.Proto_intf.Mrai_deferred { neighbor; dsts } ->
-                emit st (Obs.Event.Mrai_defer { node = id; neighbor; dsts }));
+          (if trace_control then
+             Some
+               (fun (Protocols.Proto_intf.Mrai_deferred { neighbor; dsts }) ->
+                 emit st (Obs.Event.Mrai_defer { node = id; neighbor; dsts }))
+           else None);
       }
     in
     P.create pcfg ~rng ~id
@@ -708,7 +716,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     st.next_packet_id <- id + 1;
     let p =
       Netsim.Packet.create ~id ~src ~dst ~size_bits ~ttl:st.cfg.Config.ttl
-        ~sent_at:(Dessim.Scheduler.now st.sched)
+        ~sent_at:st.clock.now
     in
     let d = { d_pkt = p; d_handler = handler } in
     (match flow with
@@ -725,6 +733,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       {
         h_deliver =
           (fun p ->
+            (* Boxed once by [now] and shared by both series: a read of
+               [st.clock] would be boxed again at each call. *)
             let now = Dessim.Scheduler.now st.sched in
             f.delivered <- f.delivered + 1;
             Dessim.Series.add f.throughput ~time:now 1.;
@@ -760,8 +770,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
        [fire_after] (no handle, recycled event cell) the steady-state cost of
        a CBR tick is the packet itself. *)
     let rec send_one () =
-      let now = Dessim.Scheduler.now st.sched in
-      if now < cfg.Config.sim_end then begin
+      if st.clock.now < cfg.Config.sim_end then begin
         f.sent <- f.sent + 1;
         ignore
           (launch_packet st ~flow:f.idx ~handler ~src:f.src ~dst:f.dst
@@ -816,7 +825,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       (* The first failure defines the measurement origin: freeze every
          flow's pre-failure path. *)
       if st.first_failure_at = None then begin
-        st.first_failure_at <- Some (Dessim.Scheduler.now st.sched);
+        st.first_failure_at <- Some st.clock.now;
         Array.iter
           (fun f -> f.pre_failure_path <- Observer.nodes_of (sample_path st f))
           st.flows
@@ -875,7 +884,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     incr r;
     if !r = 1 then begin
       if st.first_failure_at = None then begin
-        st.first_failure_at <- Some (Dessim.Scheduler.now st.sched);
+        st.first_failure_at <- Some st.clock.now;
         Array.iter
           (fun f -> f.pre_failure_path <- Observer.nodes_of (sample_path st f))
           st.flows
@@ -1143,10 +1152,12 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         dense
       end
     in
+    let sched = Dessim.Scheduler.create () in
     let st =
       {
         cfg;
-        sched = Dessim.Scheduler.create ();
+        sched;
+        clock = Dessim.Scheduler.clock sched;
         topo;
         n_nodes = Netsim.Topology.node_count topo;
         link_off;
@@ -1459,7 +1470,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
           h_deliver =
             (fun p ->
               if tracing st Obs.Event.Data then begin
-                let now = Dessim.Scheduler.now st.sched in
+                let now = st.clock.now in
                 emit st
                   (Obs.Event.Packet_delivered
                      {

@@ -69,13 +69,19 @@ let pp_message ppf = function
   | Withdraw { dsts } ->
     Fmt.pf ppf "withdraw %a" Fmt.(list ~sep:(any ",") int) dsts
 
-(* The best route to a destination: which neighbor it came from and the path
-   exactly as that neighbor advertised it (neighbor first, dst last). *)
-type best = { via : Netsim.Types.node_id; path_rx : Netsim.Types.node_id list }
-
-type gate = {
-  mutable closed : bool;
-  pending : (Netsim.Types.node_id, unit) Hashtbl.t;
+(* One session with a neighbor: its Adj-RIB-in and the MRAI gate state for
+   advertisements to it, all dense by destination id. The record is dropped
+   when the link goes down; a gate timer still outstanding then keeps
+   working on the orphan, as the per-session gate it was armed for. *)
+type session = {
+  rib : Netsim.Types.node_id list Route_table.Vec.t;
+      (* the path as the neighbor advertised it (neighbor first, dst last);
+         [] means nothing heard, as no advertised path is empty *)
+  rib_len : Route_table.Int_vec.t;  (* [List.length] of the rib path *)
+  mutable closed : bool;  (* the Per_neighbor gate *)
+  pending : Route_table.Bit_vec.t;
+      (* destinations queued behind a closed gate, flushed ascending *)
+  pd_closed : Route_table.Bit_vec.t;  (* the Per_destination gates *)
 }
 
 (* Route-flap-damping bookkeeping, per (neighbor, destination): an
@@ -93,17 +99,14 @@ type t = {
   id : Netsim.Types.node_id;
   actions : message Proto_intf.actions;
   mutable up : Netsim.Types.node_id list;
-  rib_in :
-    (Netsim.Types.node_id, (Netsim.Types.node_id, Netsim.Types.node_id list) Hashtbl.t)
-    Hashtbl.t;
-  best : (Netsim.Types.node_id, best) Hashtbl.t;
+  sessions : session option Route_table.Vec.t;  (* by neighbor id *)
+  best : Netsim.Types.node_id list Route_table.Vec.t;
+      (* the selected path exactly as its neighbor advertised it; [] means
+         no route. Selection state beside it lives in [fib]. *)
   fib : Route_table.t;
-      (* dense mirror of [best] (metric = received path length, next hop =
-         [via]), maintained by [recompute] so the per-hop forwarding query
-         never hashes *)
-  gates : (Netsim.Types.node_id, gate) Hashtbl.t;  (* Per_neighbor scope *)
-  pd_gates : (Netsim.Types.node_id * Netsim.Types.node_id, gate) Hashtbl.t;
-      (* Per_destination scope, keyed by (neighbor, dst) *)
+      (* metric = selected path length, next hop = the neighbor it came
+         from; kept with [best] so the per-hop forwarding query and the
+         selection compare never walk a path *)
   rfd_table : (Netsim.Types.node_id * Netsim.Types.node_id, rfd_entry) Hashtbl.t;
   mutable started : bool;
 }
@@ -115,34 +118,47 @@ let create cfg ~rng ~id ~neighbors ~actions =
     id;
     actions;
     up = List.sort compare neighbors;
-    rib_in = Hashtbl.create 8;
-    best = Hashtbl.create 64;
+    sessions = Route_table.Vec.create ~default:None;
+    best = Route_table.Vec.create ~default:[];
     fib = Route_table.create ();
-    gates = Hashtbl.create 8;
-    pd_gates = Hashtbl.create 64;
     rfd_table = Hashtbl.create 64;
     started = false;
   }
 
-let neighbor_rib t neighbor =
-  match Hashtbl.find_opt t.rib_in neighbor with
-  | Some tbl -> tbl
+let session t neighbor =
+  match Route_table.Vec.get t.sessions neighbor with
+  | Some s -> s
   | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.replace t.rib_in neighbor tbl;
-    tbl
+    let s =
+      {
+        rib = Route_table.Vec.create ~default:[];
+        rib_len = Route_table.Int_vec.create ~default:0;
+        closed = false;
+        pending = Route_table.Bit_vec.create ();
+        pd_closed = Route_table.Bit_vec.create ();
+      }
+    in
+    Route_table.Vec.set t.sessions neighbor (Some s);
+    s
 
 let rib_in_path t ~neighbor ~dst =
-  match Hashtbl.find_opt t.rib_in neighbor with
+  match Route_table.Vec.get t.sessions neighbor with
   | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl dst
+  | Some s -> (
+    match Route_table.Vec.get s.rib dst with [] -> None | path -> Some path)
+
+let set_rib s dst path =
+  Route_table.Vec.set s.rib dst path;
+  Route_table.Int_vec.set s.rib_len dst (List.length path)
+
+let has_route t dst = Route_table.Vec.get t.best dst <> []
 
 let best_path t ~dst =
   if dst = t.id then Some [ t.id ]
   else
-    match Hashtbl.find_opt t.best dst with
-    | Some b -> Some (t.id :: b.path_rx)
-    | None -> None
+    match Route_table.Vec.get t.best dst with
+    | [] -> None
+    | path_rx -> Some (t.id :: path_rx)
 
 let my_path t dst =
   match best_path t ~dst with
@@ -154,18 +170,15 @@ let mrai_delay t =
   let hi = t.cfg.mrai_mean *. (1. +. t.cfg.mrai_jitter) in
   Dessim.Rng.uniform t.rng lo hi
 
-let gate_for t neighbor dst =
-  let find_or_create tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some g -> g
-    | None ->
-      let g = { closed = false; pending = Hashtbl.create 8 } in
-      Hashtbl.replace tbl key g;
-      g
-  in
-  match t.cfg.mrai_scope with
-  | Per_neighbor -> find_or_create t.gates neighbor
-  | Per_destination -> find_or_create t.pd_gates (neighbor, dst)
+let note_deferred t neighbor dsts =
+  match t.actions.Proto_intf.note with
+  | Some note -> note (Proto_intf.Mrai_deferred { neighbor; dsts })
+  | None -> ()
+
+let pending_destinations s =
+  let pend = ref [] in
+  Route_table.Bit_vec.iter s.pending (fun d -> pend := d :: !pend);
+  List.rev !pend
 
 let send_update_now t neighbor dst =
   t.actions.Proto_intf.send neighbor (Update { dst; path = my_path t dst })
@@ -178,51 +191,72 @@ let send_update_now t neighbor dst =
    expires, which closes it again. *)
 let rec advertise_batch t neighbor dsts =
   if dsts <> [] && List.mem neighbor t.up then begin
+    let s = session t neighbor in
     match t.cfg.mrai_scope with
     | Per_neighbor ->
-      let g = gate_for t neighbor 0 in
-      if g.closed then begin
-        List.iter (fun d -> Hashtbl.replace g.pending d ()) dsts;
-        t.actions.Proto_intf.note
-          (Proto_intf.Mrai_deferred { neighbor; dsts = List.length dsts })
+      if s.closed then begin
+        List.iter (fun d -> Route_table.Bit_vec.set s.pending d true) dsts;
+        note_deferred t neighbor (List.length dsts)
       end
       else begin
         List.iter (send_update_now t neighbor) dsts;
-        close_gate t neighbor g
+        close_gate t neighbor s
       end
     | Per_destination ->
       let per_dst dst =
-        let g = gate_for t neighbor dst in
-        if g.closed then begin
-          Hashtbl.replace g.pending dst ();
-          t.actions.Proto_intf.note
-            (Proto_intf.Mrai_deferred { neighbor; dsts = 1 })
+        if Route_table.Bit_vec.get s.pd_closed dst then begin
+          Route_table.Bit_vec.set s.pending dst true;
+          note_deferred t neighbor 1
         end
         else begin
           send_update_now t neighbor dst;
-          close_gate t neighbor g
+          close_dst_gate t neighbor s dst
         end
       in
       List.iter per_dst dsts
   end
 
-and close_gate t neighbor g =
-  g.closed <- true;
+(* On expiry the gate opens and its queued destinations still routed go out
+   as one batch, which closes it again. [s] may be an orphan by then: its
+   queue is flushed all the same if the neighbor is back up. *)
+and close_gate t neighbor s =
+  s.closed <- true;
   ignore
     (t.actions.Proto_intf.after (mrai_delay t) (fun () ->
-         g.closed <- false;
-         let pend =
-           Hashtbl.fold (fun d () acc -> d :: acc) g.pending [] |> List.sort compare
-         in
-         Hashtbl.reset g.pending;
-         if List.mem neighbor t.up then begin
-           let live = List.filter (fun d -> d = t.id || Hashtbl.mem t.best d) pend in
-           advertise_batch t neighbor live
-         end))
+         s.closed <- false;
+         let pend = pending_destinations s in
+         List.iter (fun d -> Route_table.Bit_vec.set s.pending d false) pend;
+         if List.mem neighbor t.up then
+           advertise_batch t neighbor
+             (List.filter (fun d -> d = t.id || has_route t d) pend)))
+
+and close_dst_gate t neighbor s dst =
+  Route_table.Bit_vec.set s.pd_closed dst true;
+  ignore
+    (t.actions.Proto_intf.after (mrai_delay t) (fun () ->
+         Route_table.Bit_vec.set s.pd_closed dst false;
+         let pending = Route_table.Bit_vec.get s.pending dst in
+         Route_table.Bit_vec.set s.pending dst false;
+         if pending && List.mem neighbor t.up && (dst = t.id || has_route t dst)
+         then advertise_batch t neighbor [ dst ]))
 
 let drop_pending t neighbor dst =
-  let g = gate_for t neighbor dst in
-  Hashtbl.remove g.pending dst
+  match Route_table.Vec.get t.sessions neighbor with
+  | Some s -> Route_table.Bit_vec.set s.pending dst false
+  | None -> ()
+
+let mrai_pending t ~neighbor =
+  match Route_table.Vec.get t.sessions neighbor with
+  | Some s -> pending_destinations s
+  | None -> []
+
+let mrai_closed t ~neighbor ~dst =
+  match Route_table.Vec.get t.sessions neighbor with
+  | None -> false
+  | Some s -> (
+    match t.cfg.mrai_scope with
+    | Per_neighbor -> s.closed
+    | Per_destination -> Route_table.Bit_vec.get s.pd_closed dst)
 
 let rfd_decayed (c : rfd_config) (e : rfd_entry) ~now =
   e.penalty *. (0.5 ** ((now -. e.stamp) /. c.half_life))
@@ -235,46 +269,93 @@ let rfd_suppressed t ~neighbor ~dst =
     | Some e -> e.suppressed
     | None -> false)
 
-(* Recompute the best route to [dst]; shortest path wins, ties broken by the
-   lowest neighbor id (standard BGP-style deterministic tie-break: no
-   incumbent stickiness, so equal-length alternates can be explored — the
-   source of the transient-loop dynamics the paper studies). Suppressed
-   (flap-damped) rib entries are not eligible. *)
+(* The path [neighbor] offers for [dst] that selection may use: [] when
+   nothing was heard or flap damping suppresses the entry. *)
+let offer t s ~neighbor ~dst =
+  match Route_table.Vec.get s.rib dst with
+  | [] -> []
+  | _ when rfd_suppressed t ~neighbor ~dst -> []
+  | path -> path
+
 type transition = Unchanged | Changed | Lost
 
+(* Make [via]'s [path] (of length [len]) the route to [dst]; [path] = []
+   removes the route. The caller has established that this differs from the
+   stored route. *)
+let install t dst ~via ~len path =
+  Route_table.Vec.set t.best dst path;
+  if path = [] then Route_table.set t.fib ~dst ~metric:(-1) ~next_hop:(-1)
+  else Route_table.set t.fib ~dst ~metric:len ~next_hop:via;
+  t.actions.Proto_intf.route_changed dst;
+  if path = [] then Lost else Changed
+
+(* Recompute the best route to [dst] from every session; shortest path
+   wins, ties broken by the lowest neighbor id (standard BGP-style
+   deterministic tie-break: no incumbent stickiness, so equal-length
+   alternates can be explored — the source of the transient-loop dynamics
+   the paper studies). Suppressed (flap-damped) rib entries are not
+   eligible. *)
 let recompute t dst =
   if dst = t.id then Unchanged
   else begin
-    let incumbent = Hashtbl.find_opt t.best dst in
-    let ordered_neighbors = t.up in
-    let consider acc neighbor =
-      match rib_in_path t ~neighbor ~dst with
-      | None -> acc
-      | Some _ when rfd_suppressed t ~neighbor ~dst -> acc
-      | Some path ->
-        let len = List.length path in
-        (match acc with
-        | Some (best_len, _, _) when best_len <= len -> acc
-        | Some _ | None -> Some (len, neighbor, path))
-    in
-    let winner = List.fold_left consider None ordered_neighbors in
-    match (incumbent, winner) with
-    | None, None -> Unchanged
-    | Some old, Some (_, via, path) when old.via = via && old.path_rx = path ->
-      Unchanged
-    | _, Some (len, via, path) ->
-      Hashtbl.replace t.best dst { via; path_rx = path };
-      Route_table.set t.fib ~dst ~metric:len ~next_hop:via;
-      t.actions.Proto_intf.route_changed dst;
-      Changed
-    | Some _, None ->
-      Hashtbl.remove t.best dst;
-      Route_table.set t.fib ~dst ~metric:(-1) ~next_hop:(-1);
-      t.actions.Proto_intf.route_changed dst;
-      Lost
+    let best_len = ref max_int and best_via = ref (-1) and best = ref [] in
+    List.iter
+      (fun neighbor ->
+        match Route_table.Vec.get t.sessions neighbor with
+        | None -> ()
+        | Some s -> (
+          match offer t s ~neighbor ~dst with
+          | [] -> ()
+          | path ->
+            let len = Route_table.Int_vec.get s.rib_len dst in
+            if len < !best_len then begin
+              best_len := len;
+              best_via := neighbor;
+              best := path
+            end))
+      t.up;
+    let incumbent = Route_table.Vec.get t.best dst in
+    if
+      (incumbent = [] && !best = [])
+      || (!best <> []
+         && Route_table.next_hop_id t.fib dst = !best_via
+         && incumbent = !best)
+    then Unchanged
+    else install t dst ~via:!best_via ~len:!best_len !best
   end
 
-(* Push the consequences of recomputed destinations to all up neighbors:
+(* Re-select [dst] after only [neighbor]'s offer for it changed. The stored
+   route is what [recompute] returned before the change, so the full rescan
+   is needed only when the route was [neighbor]'s and that offer got longer
+   or went away; otherwise [neighbor] either now wins on (length, neighbor
+   id) or nothing moves. *)
+let reselect t ~neighbor dst =
+  if dst = t.id then Unchanged
+  else begin
+    let path, len =
+      match Route_table.Vec.get t.sessions neighbor with
+      | None -> ([], max_int)
+      | Some s -> (
+        match offer t s ~neighbor ~dst with
+        | [] -> ([], max_int)
+        | path -> (path, Route_table.Int_vec.get s.rib_len dst))
+    in
+    match Route_table.Vec.get t.best dst with
+    | [] -> if path = [] then Unchanged else install t dst ~via:neighbor ~len path
+    | incumbent ->
+      let via = Route_table.next_hop_id t.fib dst in
+      let cur_len = Route_table.metric t.fib dst in
+      if neighbor = via then begin
+        if len > cur_len then recompute t dst
+        else if path = incumbent then Unchanged
+        else install t dst ~via ~len path
+      end
+      else if len < cur_len || (len = cur_len && neighbor < via) then
+        install t dst ~via:neighbor ~len path
+      else Unchanged
+  end
+
+(* Push the consequences of re-selected destinations to all up neighbors:
    lost destinations produce one immediate batched withdrawal; changed ones
    go through the MRAI gate. *)
 let propagate t ~lost ~updated =
@@ -289,9 +370,16 @@ let propagate t ~lost ~updated =
   in
   if lost <> [] || updated <> [] then List.iter to_neighbor t.up
 
-let recompute_and_propagate t dsts =
+(* Select [dsts] and propagate. [from] is the one neighbor whose offers for
+   [dsts] changed, or [rescan] to recompute from every session. *)
+let rescan = -1
+
+let select_and_propagate t ~from dsts =
   let classify (lost, updated) dst =
-    match recompute t dst with
+    let transition =
+      if from = rescan then recompute t dst else reselect t ~neighbor:from dst
+    in
+    match transition with
     | Unchanged -> (lost, updated)
     | Changed -> (lost, dst :: updated)
     | Lost -> (dst :: lost, updated)
@@ -330,7 +418,7 @@ let rfd_penalize t ~neighbor ~dst amount =
                let now = t.actions.Proto_intf.now () in
                e.penalty <- Float.min (rfd_decayed c e ~now) c.reuse;
                e.stamp <- now;
-               recompute_and_propagate t [ dst ]
+               select_and_propagate t ~from:rescan [ dst ]
              end))
     end
 
@@ -341,69 +429,77 @@ let start t =
 
 let on_message t ~from msg =
   if List.mem from t.up then begin
+    let s = session t from in
     match msg with
     | Update { dst; path } ->
-      let rib = neighbor_rib t from in
-      let previous = Hashtbl.find_opt rib dst in
+      let previous = Route_table.Vec.get s.rib dst in
       (* Loop detection: a path through ourselves is unusable; the paper
          treats it as an implicit withdrawal. *)
       if List.mem t.id path then begin
-        Hashtbl.remove rib dst;
+        set_rib s dst [];
         (match t.cfg.rfd with
-        | Some c when previous <> None ->
+        | Some c when previous <> [] ->
           rfd_penalize t ~neighbor:from ~dst c.withdrawal_penalty
         | Some _ | None -> ())
       end
       else begin
-        Hashtbl.replace rib dst path;
-        match (t.cfg.rfd, previous) with
-        | Some c, Some old when old <> path ->
+        set_rib s dst path;
+        match t.cfg.rfd with
+        | Some c when previous <> [] && previous <> path ->
           rfd_penalize t ~neighbor:from ~dst c.update_penalty
-        | (Some _ | None), _ -> ()
+        | Some _ | None -> ()
       end;
-      recompute_and_propagate t [ dst ]
+      select_and_propagate t ~from [ dst ]
     | Withdraw { dsts } ->
-      let rib = neighbor_rib t from in
       let withdraw_one dst =
-        let existed = Hashtbl.mem rib dst in
-        Hashtbl.remove rib dst;
+        let existed = Route_table.Vec.get s.rib dst <> [] in
+        set_rib s dst [];
         match t.cfg.rfd with
         | Some c when existed ->
           rfd_penalize t ~neighbor:from ~dst c.withdrawal_penalty
         | Some _ | None -> ()
       in
       List.iter withdraw_one dsts;
-      recompute_and_propagate t dsts
+      select_and_propagate t ~from dsts
   end
 
 let on_link_down t ~neighbor =
   t.up <- List.filter (fun n -> n <> neighbor) t.up;
-  (* The session is gone: discard Adj-RIB-in and rate-limiter state. *)
+  (* The session is gone: discard its Adj-RIB-in and rate-limiter state. *)
   let affected =
-    match Hashtbl.find_opt t.rib_in neighbor with
+    match Route_table.Vec.get t.sessions neighbor with
     | None -> []
-    | Some tbl ->
-      let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) tbl [] in
-      Hashtbl.remove t.rib_in neighbor;
-      List.sort compare dsts
+    | Some s ->
+      Route_table.Vec.set t.sessions neighbor None;
+      let dsts = ref [] in
+      for d = Route_table.Vec.length s.rib - 1 downto 0 do
+        if Route_table.Vec.get s.rib d <> [] then dsts := d :: !dsts
+      done;
+      !dsts
   in
-  Hashtbl.remove t.gates neighbor;
-  Hashtbl.iter
-    (fun (n, d) _ -> if n = neighbor then Hashtbl.remove t.pd_gates (n, d))
-    (Hashtbl.copy t.pd_gates);
-  recompute_and_propagate t affected
+  select_and_propagate t ~from:rescan affected
+
+(* Destinations with a selected route, ascending, with [t.id] merged in
+   when [self]. *)
+let destinations t ~self =
+  let dsts = ref [] in
+  for d = max t.id (Route_table.Vec.length t.best - 1) downto 0 do
+    if (self && d = t.id) || has_route t d then dsts := d :: !dsts
+  done;
+  !dsts
 
 let on_link_up t ~neighbor =
   if not (List.mem neighbor t.up) then begin
     t.up <- List.sort compare (neighbor :: t.up);
     (* Session (re)establishment: the initial table exchange is not subject
        to the MRAI timer. *)
-    let dsts =
-      t.id :: (Hashtbl.fold (fun d _ acc -> d :: acc) t.best [] |> List.sort compare)
-    in
-    List.iter (send_update_now t neighbor) dsts;
-    let g = gate_for t neighbor t.id in
-    if not g.closed then close_gate t neighbor g
+    List.iter (send_update_now t neighbor) (t.id :: destinations t ~self:false);
+    let s = session t neighbor in
+    match t.cfg.mrai_scope with
+    | Per_neighbor -> if not s.closed then close_gate t neighbor s
+    | Per_destination ->
+      if not (Route_table.Bit_vec.get s.pd_closed t.id) then
+        close_dst_gate t neighbor s t.id
   end
 
 let next_hop t ~dst =
@@ -415,6 +511,4 @@ let metric t ~dst =
     let m = Route_table.metric t.fib dst in
     if m < 0 then None else Some m
 
-let known_destinations t =
-  let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) t.best [] in
-  List.sort compare (t.id :: dsts)
+let known_destinations t = destinations t ~self:true

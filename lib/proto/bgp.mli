@@ -79,3 +79,13 @@ val rfd_suppressed :
   t -> neighbor:Netsim.Types.node_id -> dst:Netsim.Types.node_id -> bool
 (** Whether route flap damping currently suppresses the rib entry heard from
     [neighbor] for [dst]; always false without an {!rfd_config}. *)
+
+val mrai_pending : t -> neighbor:Netsim.Types.node_id -> Netsim.Types.node_id list
+(** Destinations queued behind a closed MRAI gate toward [neighbor],
+    ascending; exposed for tests. *)
+
+val mrai_closed :
+  t -> neighbor:Netsim.Types.node_id -> dst:Netsim.Types.node_id -> bool
+(** Whether the MRAI gate that an advertisement of [dst] to [neighbor] would
+    wait behind is closed: the neighbor's one gate under [Per_neighbor], the
+    (neighbor, [dst]) gate under [Per_destination]. Exposed for tests. *)

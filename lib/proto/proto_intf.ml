@@ -7,7 +7,7 @@
 
 (** Protocol-internal occurrences worth tracing but invisible from the
     outside (no message is sent, no route changes). Protocols report them
-    through {!actions.note}; harnesses that do not trace install a no-op. *)
+    through {!actions.note}; harnesses that do not trace install [None]. *)
 type note =
   | Mrai_deferred of { neighbor : Netsim.Types.node_id; dsts : int }
       (** changed destinations queued behind a closed MRAI gate *)
@@ -25,8 +25,9 @@ type 'msg actions = {
   route_changed : Netsim.Types.node_id -> unit;
       (** notify observers that the best route to a destination changed
           (metric or next hop) *)
-  note : note -> unit;
-      (** report a protocol-internal occurrence to the trace layer *)
+  note : (note -> unit) option;
+      (** report a protocol-internal occurrence to the trace layer; [None]
+          when nothing listens, so protocols build no [note] at all *)
 }
 
 module type PROTOCOL = sig

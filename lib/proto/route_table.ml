@@ -29,6 +29,46 @@ module Int_vec = struct
     v.a.(i) <- x
 end
 
+(* Growable bitset, cleared by default: one bit per slot for per-slot
+   flags (armed timers, closed or pending MRAI gates). *)
+module Bit_vec = struct
+  type t = { mutable b : Bytes.t }
+
+  let create () = { b = Bytes.empty }
+
+  let get v i =
+    let byte = i lsr 3 in
+    byte < Bytes.length v.b
+    && Char.code (Bytes.unsafe_get v.b byte) land (1 lsl (i land 7)) <> 0
+
+  let grow v byte =
+    let cap = Bytes.length v.b in
+    let cap' = max 16 (max (byte + 1) (2 * cap)) in
+    let bigger = Bytes.make cap' '\000' in
+    Bytes.blit v.b 0 bigger 0 cap;
+    v.b <- bigger
+
+  let set v i flag =
+    let byte = i lsr 3 in
+    if flag && byte >= Bytes.length v.b then grow v byte;
+    if byte < Bytes.length v.b then begin
+      let cur = Char.code (Bytes.unsafe_get v.b byte) in
+      let bit = 1 lsl (i land 7) in
+      Bytes.unsafe_set v.b byte
+        (Char.unsafe_chr (if flag then cur lor bit else cur land lnot bit))
+    end
+
+  (* Set bits in ascending order, skipping all-clear bytes. *)
+  let iter v f =
+    for byte = 0 to Bytes.length v.b - 1 do
+      let c = Char.code (Bytes.unsafe_get v.b byte) in
+      if c <> 0 then
+        for bit = 0 to 7 do
+          if c land (1 lsl bit) <> 0 then f ((byte lsl 3) lor bit)
+        done
+    done
+end
+
 (* Per-slot re-armable timer deadlines. Scheduler cancellation is lazy (a
    cancelled event stays queued until its fire time), so the old
    cancel-and-reschedule idiom for the 180 s route timeouts left one
@@ -48,10 +88,10 @@ module Deadline_vec = struct
 
   type t = {
     mutable d : float array;  (* absolute expiry time, or [inactive] *)
-    mutable armed : Bytes.t;  (* bitset: a scheduler event is outstanding *)
+    armed : Bit_vec.t;  (* a scheduler event is outstanding *)
   }
 
-  let create () = { d = [||]; armed = Bytes.empty }
+  let create () = { d = [||]; armed = Bit_vec.create () }
 
   let get v i = if i < Array.length v.d then v.d.(i) else inactive
 
@@ -68,25 +108,33 @@ module Deadline_vec = struct
 
   let cancel v i = if i < Array.length v.d then v.d.(i) <- inactive
 
-  let armed v i =
-    let byte = i lsr 3 in
-    byte < Bytes.length v.armed
-    && Char.code (Bytes.unsafe_get v.armed byte) land (1 lsl (i land 7)) <> 0
+  let armed v i = Bit_vec.get v.armed i
 
-  let grow_armed v byte =
-    let cap = Bytes.length v.armed in
-    let cap' = max 16 (max (byte + 1) (2 * cap)) in
-    let bigger = Bytes.make cap' '\000' in
-    Bytes.blit v.armed 0 bigger 0 cap;
-    v.armed <- bigger
+  let set_armed v i b = Bit_vec.set v.armed i b
+end
 
-  let set_armed v i b =
-    let byte = i lsr 3 in
-    if byte >= Bytes.length v.armed then grow_armed v byte;
-    let cur = Char.code (Bytes.get v.armed byte) in
-    let bit = 1 lsl (i land 7) in
-    Bytes.set v.armed byte
-      (Char.chr (if b then cur lor bit else cur land lnot bit))
+(* Growable vector of any element type with an out-of-bounds default, for
+   per-destination state that is not an [int]: path-vector Adj-RIB-in
+   paths, per-neighbor records, memoised closures. *)
+module Vec = struct
+  type 'a t = { mutable a : 'a array; default : 'a }
+
+  let create ~default = { a = [||]; default }
+
+  let length v = Array.length v.a
+
+  let get v i = if i < Array.length v.a then v.a.(i) else v.default
+
+  let grow v i =
+    let cap = Array.length v.a in
+    let cap' = max 16 (max (i + 1) (2 * cap)) in
+    let bigger = Array.make cap' v.default in
+    Array.blit v.a 0 bigger 0 cap;
+    v.a <- bigger
+
+  let set v i x =
+    if i >= Array.length v.a then grow v i;
+    v.a.(i) <- x
 end
 
 (* Per-slot memoised thunks (e.g. a destination's timeout-expiry action), so
@@ -95,22 +143,13 @@ end
 module Fn_vec = struct
   let nop () = ()
 
-  type t = { mutable a : (unit -> unit) array }
+  type t = (unit -> unit) Vec.t
 
-  let create () = { a = [||] }
+  let create () = Vec.create ~default:nop
 
-  let get v i = if i < Array.length v.a then v.a.(i) else nop
+  let get = Vec.get
 
-  let grow v i =
-    let cap = Array.length v.a in
-    let cap' = max 16 (max (i + 1) (2 * cap)) in
-    let bigger = Array.make cap' nop in
-    Array.blit v.a 0 bigger 0 cap;
-    v.a <- bigger
-
-  let set v i f =
-    if i >= Array.length v.a then grow v i;
-    v.a.(i) <- f
+  let set = Vec.set
 end
 
 type t = {

@@ -51,6 +51,22 @@ module Int_vec : sig
   val set : t -> int -> int -> unit
 end
 
+(** Growable bitset, every bit clear by default: per-slot flags such as
+    armed timers and closed or pending MRAI gates. *)
+module Bit_vec : sig
+  type t
+
+  val create : unit -> t
+
+  val get : t -> int -> bool
+
+  val set : t -> int -> bool -> unit
+  (** Clearing a bit past the end is a no-op and does not grow the set. *)
+
+  val iter : t -> (int -> unit) -> unit
+  (** [iter v f] applies [f] to every set bit's index, ascending. *)
+end
+
 (** Growable vector of re-armable timer deadlines, for per-route and
     per-cache-entry timeouts.
 
@@ -88,6 +104,23 @@ module Deadline_vec : sig
       event fires and observes {!inactive}. *)
 
   val set_armed : t -> int -> bool -> unit
+end
+
+(** Growable vector of any element type with an out-of-bounds default:
+    per-destination state that is not an [int] (path-vector paths,
+    per-neighbor records). *)
+module Vec : sig
+  type 'a t
+
+  val create : default:'a -> 'a t
+
+  val length : 'a t -> int
+  (** One past the highest index ever set (or more): every index at or past
+      it reads the default. *)
+
+  val get : 'a t -> int -> 'a
+
+  val set : 'a t -> int -> 'a -> unit
 end
 
 (** Growable vector of memoised [unit -> unit] thunks (timeout-expiry

@@ -41,7 +41,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
                 (fun dst ->
                   net.route_changes <-
                     (Dessim.Scheduler.now sched, id, dst) :: net.route_changes);
-              note = (fun _ -> ());
+              note = None;
             }
           in
           P.create config ~rng ~id

@@ -180,6 +180,55 @@ let test_withdrawals_bypass_mrai () =
   Alcotest.(check (option int)) "1 heard the withdrawal fast" None
     (H.next_hop net 1 ~dst:3)
 
+let test_batched_withdrawal_leaves_no_gate () =
+  (* BGP-pd: node 1 queues changed paths to 30..32 behind closed
+     (neighbor, destination) gates, then one withdrawal loses all three.
+     The withdrawal must clear every queued advertisement and, once the
+     running timers expire, leave no gate closed for the lost destinations. *)
+  let config =
+    {
+      Protocols.Bgp.fast_config with
+      mrai_jitter = 0.;
+      mrai_scope = Protocols.Bgp.Per_destination;
+    }
+  in
+  let net = converge ~config (line 3) in
+  let r1 = H.router net 1 in
+  let dsts = [ 30; 31; 32 ] in
+  let hear path_of =
+    List.iter
+      (fun dst ->
+        Protocols.Bgp.on_message r1 ~from:2
+          (Protocols.Bgp.Update { dst; path = path_of dst }))
+      dsts
+  in
+  hear (fun dst -> [ 2; dst ]);
+  hear (fun dst -> [ 2; 9; dst ]);
+  Alcotest.(check (list int)) "second change queued" dsts
+    (Protocols.Bgp.mrai_pending r1 ~neighbor:0);
+  Protocols.Bgp.on_message r1 ~from:2 (Protocols.Bgp.Withdraw { dsts });
+  List.iter
+    (fun neighbor ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "nothing queued toward %d" neighbor)
+        [] (Protocols.Bgp.mrai_pending r1 ~neighbor))
+    [ 0; 2 ];
+  let t0 = Dessim.Scheduler.now (H.sched net) in
+  H.run net ~until:(t0 +. 10.);
+  List.iter
+    (fun dst ->
+      List.iter
+        (fun neighbor ->
+          Alcotest.(check bool)
+            (Printf.sprintf "gate (%d, %d) open" neighbor dst)
+            false
+            (Protocols.Bgp.mrai_closed r1 ~neighbor ~dst))
+        [ 0; 2 ];
+      Alcotest.(check (option int))
+        (Printf.sprintf "0 has no route to %d" dst)
+        None (H.next_hop net 0 ~dst))
+    dsts
+
 let test_batch_flush_on_event () =
   (* An event changing many destinations at once must advertise all of them
      before the gate closes (paper Section 4.3), not just the first. *)
@@ -355,6 +404,8 @@ let () =
           Alcotest.test_case "per-destination scope" `Quick test_mrai_per_destination_scope;
           Alcotest.test_case "withdrawals bypass" `Quick test_withdrawals_bypass_mrai;
           Alcotest.test_case "batch flush" `Quick test_batch_flush_on_event;
+          Alcotest.test_case "batched withdrawal leaves no gate (pd)" `Quick
+            test_batched_withdrawal_leaves_no_gate;
           Alcotest.test_case "message sizes" `Quick test_message_sizes;
         ] );
       ( "route flap damping",

@@ -1,8 +1,8 @@
-(* Differential tests for the hot-path rewrite: the structure-of-arrays heap
-   and the free-list scheduler must be observably indistinguishable from the
-   pre-rewrite implementations.
+(* Differential tests for the hot-path rewrites: the structure-of-arrays
+   heap, the free-list scheduler and incremental route selection must be
+   observably indistinguishable from the implementations they replaced.
 
-   Three oracles:
+   Four oracles:
    - [Reference_heap]: the old boxed entry-record heap, kept verbatim. Driven
      with the same (time, seq) streams as [Dessim.Heap], pop sequences must
      match element for element — on randomized QCheck2 streams (with
@@ -12,6 +12,11 @@
      [Reference_heap], for random schedule/cancel/step interleavings.
    - the GC: a popped payload must become collectable (weak-pointer check) —
      the old implementation pinned it in the vacated slot.
+   - [Reference_dbf] and [Reference_bgp]: the distance- and path-vector
+     protocols with full-rescan route selection, kept verbatim. Driven with
+     the same message and link-event streams as [Protocols.Dbf] and
+     [Protocols.Bgp], routes, sends and notifications must match after
+     every step.
 
    Randomness discipline (repo idiom): QCheck2 generates plain integers and
    structures are built deterministically from them, so a failing case
@@ -493,6 +498,249 @@ let table_differential =
     QCheck2.Gen.(list_size (int_range 0 200) table_op_gen)
     run_table_ops
 
+(* ---------- incremental route selection vs full rescan ---------- *)
+
+(* [Reference_dbf] and [Reference_bgp] are the protocols as they were when
+   every heard route re-selected its destination by scanning all up
+   neighbors. One router (id 0, neighbors 1-4, destinations 0-6) of each
+   implementation lives in its own recording world; both get the same seed
+   and the same op stream: messages from a neighbor (advertisements,
+   withdrawals, paths through the router itself), time advances long enough
+   for damping, MRAI, cache expiry and flap-damping release to fire, and
+   link down/up. After every op the two must agree on next hop, metric and
+   path for every destination, and on everything they did so far: each send
+   (time, neighbor, message), each route-change notification and each MRAI
+   deferral, in order. *)
+
+type 'msg logged =
+  | Sent of float * int * 'msg
+  | Route_changed of float * int
+  | Deferred of int * int
+
+type 'msg world = { sched : Dessim.Scheduler.t; mutable log : 'msg logged list }
+
+let world () = { sched = Dessim.Scheduler.create (); log = [] }
+
+let world_actions w =
+  let now () = Dessim.Scheduler.now w.sched in
+  {
+    Protocols.Proto_intf.now;
+    send = (fun n msg -> w.log <- Sent (now (), n, msg) :: w.log);
+    after = (fun delay fn -> Dessim.Scheduler.after w.sched ~delay fn);
+    route_changed = (fun dst -> w.log <- Route_changed (now (), dst) :: w.log);
+    note =
+      Some
+        (fun (Protocols.Proto_intf.Mrai_deferred { neighbor; dsts }) ->
+          w.log <- Deferred (neighbor, dsts) :: w.log);
+  }
+
+type 'msg op = Hear of int * 'msg | Advance of float | Down of int | Up of int
+
+let router_neighbors = [ 1; 2; 3; 4 ]
+
+let destinations = List.init 7 Fun.id
+
+(* What selection decided for one destination. *)
+type view = { nh : int option; metric : int option; path : int list option }
+
+(* One implementation, closed over its router and world. *)
+type 'msg driven = {
+  deliver : from:int -> 'msg -> unit;
+  link_down : int -> unit;
+  link_up : int -> unit;
+  view : int -> view;
+  known : unit -> int list;
+  w : 'msg world;
+}
+
+(* [message_gen n] draws a message from neighbor [n]. *)
+let op_gen message_gen =
+  let open QCheck2.Gen in
+  let neighbor = int_range 1 4 in
+  frequency
+    [
+      (6, neighbor >>= fun n -> map (fun m -> Hear (n, m)) (message_gen n));
+      (2, map (fun d -> Advance d) (oneofl [ 0.5; 2.; 6.; 40.; 200.; 300. ]));
+      (1, map (fun n -> Down n) neighbor);
+      (1, map (fun n -> Up n) neighbor);
+    ]
+
+let print_op pp_msg = function
+  | Hear (n, m) -> Fmt.str "hear %d %a" n pp_msg m
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Down n -> Printf.sprintf "down %d" n
+  | Up n -> Printf.sprintf "up %d" n
+
+(* Drive [a] (the implementation) and [b] (the reference) through [ops];
+   true when they agree after every op. *)
+let run_selection_ops (a : 'msg driven) (b : 'msg driven) ops =
+  let agree () =
+    a.w.log = b.w.log
+    && a.known () = b.known ()
+    && List.for_all (fun dst -> a.view dst = b.view dst) destinations
+  in
+  let step d = function
+    | Hear (from, msg) -> d.deliver ~from msg
+    | Advance dt ->
+      Dessim.Scheduler.run
+        ~until:(Dessim.Scheduler.now d.w.sched +. dt)
+        d.w.sched
+    | Down n -> d.link_down n
+    | Up n -> d.link_up n
+  in
+  agree ()
+  && List.for_all
+       (fun op ->
+         step a op;
+         step b op;
+         agree ())
+       ops
+
+let dbf_pair () =
+  let module D = Protocols.Dbf in
+  let module R = Reference_dbf in
+  let cfg = Protocols.Dv_core.default_config in
+  let wa = world () and wb = world () in
+  let ra =
+    D.create cfg ~rng:(Dessim.Rng.create 7) ~id:0 ~neighbors:router_neighbors
+      ~actions:(world_actions wa)
+  in
+  let rb =
+    R.create cfg ~rng:(Dessim.Rng.create 7) ~id:0 ~neighbors:router_neighbors
+      ~actions:(world_actions wb)
+  in
+  D.start ra;
+  R.start rb;
+  ( {
+      deliver = (fun ~from msg -> D.on_message ra ~from msg);
+      link_down = (fun n -> D.on_link_down ra ~neighbor:n);
+      link_up = (fun n -> D.on_link_up ra ~neighbor:n);
+      view =
+        (fun dst ->
+          { nh = D.next_hop ra ~dst; metric = D.metric ra ~dst; path = None });
+      known = (fun () -> D.known_destinations ra);
+      w = wa;
+    },
+    {
+      deliver = (fun ~from msg -> R.on_message rb ~from msg);
+      link_down = (fun n -> R.on_link_down rb ~neighbor:n);
+      link_up = (fun n -> R.on_link_up rb ~neighbor:n);
+      view =
+        (fun dst ->
+          { nh = R.next_hop rb ~dst; metric = R.metric rb ~dst; path = None });
+      known = (fun () -> R.known_destinations rb);
+      w = wb;
+    } )
+
+(* A vector of up to four entries. Metrics cluster low so offers tie often;
+   15 arrives at infinity (16) after the hop, 16 is a poisoned entry — a
+   withdrawal on the distance-vector wire. *)
+let dv_message_gen =
+  let open QCheck2.Gen in
+  let entry =
+    map2
+      (fun dst metric -> { Protocols.Dv_core.dst; metric })
+      (int_range 0 6)
+      (frequency [ (6, int_range 0 4); (1, return 15); (2, return 16) ])
+  in
+  list_size (int_range 1 4) entry
+
+let dbf_selection =
+  QCheck2.Test.make ~name:"DBF incremental selection matches full rescan"
+    ~count:400
+    ~print:QCheck2.Print.(list (print_op Protocols.Dv_core.pp_message))
+    QCheck2.Gen.(list_size (int_range 1 60) (op_gen (fun _ -> dv_message_gen)))
+    (fun ops ->
+      let a, b = dbf_pair () in
+      run_selection_ops a b ops)
+
+let bgp_pair cfg =
+  let module B = Protocols.Bgp in
+  let module R = Reference_bgp in
+  let wa = world () and wb = world () in
+  let ra =
+    B.create cfg ~rng:(Dessim.Rng.create 7) ~id:0 ~neighbors:router_neighbors
+      ~actions:(world_actions wa)
+  in
+  let rb =
+    R.create cfg ~rng:(Dessim.Rng.create 7) ~id:0 ~neighbors:router_neighbors
+      ~actions:(world_actions wb)
+  in
+  B.start ra;
+  R.start rb;
+  ( {
+      deliver = (fun ~from msg -> B.on_message ra ~from msg);
+      link_down = (fun n -> B.on_link_down ra ~neighbor:n);
+      link_up = (fun n -> B.on_link_up ra ~neighbor:n);
+      view =
+        (fun dst ->
+          {
+            nh = B.next_hop ra ~dst;
+            metric = B.metric ra ~dst;
+            path = B.best_path ra ~dst;
+          });
+      known = (fun () -> B.known_destinations ra);
+      w = wa;
+    },
+    {
+      deliver = (fun ~from msg -> R.on_message rb ~from msg);
+      link_down = (fun n -> R.on_link_down rb ~neighbor:n);
+      link_up = (fun n -> R.on_link_up rb ~neighbor:n);
+      view =
+        (fun dst ->
+          {
+            nh = R.next_hop rb ~dst;
+            metric = R.metric rb ~dst;
+            path = R.best_path rb ~dst;
+          });
+      known = (fun () -> R.known_destinations rb);
+      w = wb;
+    } )
+
+(* An update carries the sender's path: the sender first, [dst] last, up to
+   three hops between. A middle hop of 0 is the receiver itself, which makes
+   the update an implicit withdrawal. Withdrawals batch one to three
+   destinations. *)
+let bgp_message_gen from =
+  let open QCheck2.Gen in
+  let node = int_range 0 6 in
+  frequency
+    [
+      ( 3,
+        map2
+          (fun dst middle ->
+            Protocols.Bgp.Update { dst; path = (from :: middle) @ [ dst ] })
+          node
+          (list_size (int_range 0 3) node) );
+      ( 1,
+        map
+          (fun dsts -> Protocols.Bgp.Withdraw { dsts })
+          (list_size (int_range 1 3) node) );
+    ]
+
+let bgp_selection (label, cfg) =
+  QCheck2.Test.make
+    ~name:(label ^ " incremental selection matches full rescan")
+    ~count:300
+    ~print:QCheck2.Print.(list (print_op Protocols.Bgp.pp_message))
+    QCheck2.Gen.(list_size (int_range 1 60) (op_gen bgp_message_gen))
+    (fun ops ->
+      let a, b = bgp_pair cfg in
+      run_selection_ops a b ops)
+
+let bgp_configs =
+  let fast = Protocols.Bgp.fast_config in
+  let pd = { fast with Protocols.Bgp.mrai_scope = Protocols.Bgp.Per_destination } in
+  (* A lower cutoff than the default's 2.0, so that short streams suppress
+     entries often: one withdrawal plus one changed path is enough. *)
+  let rfd = Some { Protocols.Bgp.default_rfd with cutoff = 1.4 } in
+  [
+    ("BGP-3", fast);
+    ("BGP-3 per-destination MRAI", pd);
+    ("BGP-3+RFD", { fast with Protocols.Bgp.rfd });
+    ("BGP-3+RFD per-destination MRAI", { pd with Protocols.Bgp.rfd });
+  ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -521,4 +769,6 @@ let () =
               test_scheduler_cell_does_not_retain;
           ] );
       ("route_table", qsuite [ table_differential ]);
+      ( "selection",
+        qsuite (dbf_selection :: List.map bgp_selection bgp_configs) );
     ]
